@@ -30,12 +30,20 @@ SWEEP = scenario_grid(
     methodology=("parallel", "dual", "otem"),
 )
 
+#: Every cell on the scalar engine: this bench measures the process-pool
+#: fan-out, and under ``execution="auto"`` each methodology's pair of
+#: cells would form an in-process lockstep group instead, leaving nothing
+#: to fan out (bench_engine.py and bench_mpc_ensemble.py measure lockstep).
+ENGINE = "scalar"
+
 
 def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
-    serial = run_batch(SWEEP, workers=0)
+    serial = run_batch(SWEEP, workers=0, execution=ENGINE)
     assert serial.ok
 
-    parallel = run_once(benchmark, run_batch, SWEEP, workers=BATCH_WORKERS)
+    parallel = run_once(
+        benchmark, run_batch, SWEEP, workers=BATCH_WORKERS, execution=ENGINE
+    )
     assert parallel.ok
 
     # parallel execution must not change a single bit of the results
@@ -45,8 +53,8 @@ def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
     # .repro_cache between runs - that is the point), the second pass must
     # serve every cell without recomputing
     cache = ResultCache()
-    warmup = run_batch(SWEEP, workers=0, cache=cache)
-    cached = run_batch(SWEEP, workers=0, cache=cache)
+    warmup = run_batch(SWEEP, workers=0, cache=cache, execution=ENGINE)
+    cached = run_batch(SWEEP, workers=0, cache=cache, execution=ENGINE)
     assert warmup.cache_hits + warmup.cache_misses == len(SWEEP)
     assert cached.cache_hits == len(SWEEP) and cached.cache_misses == 0
     assert [c.metrics for c in cached.cells] == [c.metrics for c in serial.cells]

@@ -21,6 +21,7 @@ import sys
 from repro.analysis.figures import METHOD_LABELS
 from repro.analysis.report import render_table1
 from repro.analysis.tables import table1_data
+from repro.core.mpc import MPCPlanner
 from repro.drivecycle.library import available_cycles, get_cycle
 from repro.sim.engine import SimulationResult
 from repro.sim.scenario import METHODOLOGIES, Scenario, run_scenario
@@ -255,8 +256,11 @@ def _add_grid_args(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--rollout-backend",
         action="append",
-        choices=("scalar", "vectorized"),
-        help="MPC rollout-backend axis (repeatable; default: scalar)",
+        choices=MPCPlanner.BACKENDS,
+        help=(
+            "MPC rollout-backend axis (repeatable; default: "
+            f"{Scenario.rollout_backend})"
+        ),
     )
     parser.add_argument(
         "--seeds",
@@ -298,12 +302,12 @@ def _add_scenario_args(parser: argparse.ArgumentParser, with_methodology: bool =
     )
     parser.add_argument(
         "--rollout-backend",
-        choices=("scalar", "vectorized"),
-        default="scalar",
+        choices=MPCPlanner.BACKENDS,
+        default=Scenario.rollout_backend,
         help=(
-            "MPC rollout implementation: 'scalar' (reference) or "
-            "'vectorized' (batched NumPy kernel, several times faster; "
-            "default: scalar)"
+            "MPC rollout implementation: 'vectorized' (batched NumPy "
+            "kernel) or 'scalar' (the pure-Python reference, several "
+            f"times slower; default: {Scenario.rollout_backend})"
         ),
     )
 
@@ -403,7 +407,7 @@ def _grid_from_args(args) -> tuple:
         "cycle": args.cycle or ["us06"],
         "ucap_farads": args.ucap_farads or [25_000.0],
         "initial_temp_k": [t + 273.15 for t in (args.initial_temp_c or [24.85])],
-        "rollout_backend": args.rollout_backend or ["scalar"],
+        "rollout_backend": args.rollout_backend or [base.rollout_backend],
     }
     return base, axes
 

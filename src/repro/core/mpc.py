@@ -5,37 +5,40 @@ ultracapacitor bus-power commands and coolant inlet temperatures
 (2N variables, normalized to [0, 1] for conditioning); states are
 eliminated by :class:`repro.core.rollout.PredictionModel`.  Input bounds
 realize constraints C2/C3/C7; the rollout's hinge penalties realize
-C1/C4/C5/C6.  ``scipy.optimize.minimize(L-BFGS-B)`` solves the NLP,
-warm-started from the previous plan shifted by one step.
+C1/C4/C5/C6.  L-BFGS-B solves the NLP, warm-started from the previous
+plan shifted by one step.
 
 Two rollout backends drive the penalty solver:
 
-* ``"scalar"`` (default) - the reference pure-Python rollout; scipy
-  differentiates it with serial forward differences (2N+1 rollouts per
-  gradient).
-* ``"vectorized"`` - :class:`repro.core.rollout_vec.BatchPredictionModel`
-  evaluates every multi-start candidate's central-difference stencil as
-  one batched kernel call per L-BFGS-B ``fun+jac`` round, and the
-  multi-start race is a single joint solve over the stacked candidates
-  (the objective is block-separable, so minimizing the sum solves each
-  start).  Several times faster per solve at the same budget; the scalar
-  model stays the semantic reference (see benchmarks/bench_mpc_solver.py).
+* ``"vectorized"`` (default) -
+  :class:`repro.core.rollout_vec.BatchPredictionModel` evaluates every
+  multi-start candidate's central-difference stencil as one batched
+  kernel call per L-BFGS-B ``fun+jac`` round, and the multi-start race is
+  a single joint solve over the stacked candidates (the objective is
+  block-separable, so minimizing the sum solves each start).  Several
+  times faster per solve at the same budget.
+* ``"scalar"`` - the reference pure-Python rollout; scipy differentiates
+  it with serial forward differences (2N+1 rollouts per gradient).  It
+  stays the semantic reference the vectorized backend is checked against
+  (tests/sim/test_rollout_backend.py, benchmarks/bench_mpc_solver.py).
 
 :class:`MPCPlannerVec` extends the vectorized backend *across scenarios*:
 S independent planners replan in lockstep, their multi-start stencils
 stacked into one kernel call per L-BFGS-B round via the reverse-
-communication driver in :mod:`repro.core.lbfgsb_lockstep`.  Each
-scenario's iterate sequence is exactly what its own
-``MPCPlanner(rollout_backend="vectorized")`` would produce (same starts,
-same budgets, same solver protocol) - the batching changes when
-evaluations happen, not what they compute.
+communication driver in :mod:`repro.core.lbfgsb_lockstep`.  A single
+vectorized :class:`MPCPlanner` solve is the one-scenario case of the same
+routine (:func:`_solve_lockstep`), so each scenario's iterate sequence is
+exactly what its own ``MPCPlanner(rollout_backend="vectorized")`` would
+produce - the batching changes when evaluations happen, not what they
+compute.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
@@ -98,24 +101,36 @@ class MPCPlan:
         Planned ultracap bus power per horizon step [W].
     inlet_temp_k:
         Planned coolant inlet temperature per horizon step [K].
-    predicted:
-        Detailed rollout of the optimal plan.
     solver_iterations:
         L-BFGS-B iteration count (diagnostics / ablation benches).
     solver_cost:
         Achieved objective value.
+    predicted:
+        Detailed rollout of the optimal plan (see :attr:`predicted`).
     """
 
     cap_bus_w: np.ndarray
     inlet_temp_k: np.ndarray
-    predicted: RolloutResult
     solver_iterations: int
     solver_cost: float
+    _rollout: Callable[[], RolloutResult] = field(repr=False, compare=False)
 
     @property
     def horizon(self) -> int:
         """Number of steps in the plan."""
         return self.cap_bus_w.size
+
+    @functools.cached_property
+    def predicted(self) -> RolloutResult:
+        """Detailed scalar rollout of the optimal plan.
+
+        Computed on first read, then cached: the closed loop only applies
+        the plan's first step, so solves do not pay for a trajectory
+        nobody reads.  The plan holds its own copies of the horizon's
+        state, preview and commands, so later changes to the caller's
+        buffers do not change what this returns.
+        """
+        return self._rollout()
 
 
 class MPCPlanner:
@@ -145,10 +160,11 @@ class MPCPlanner:
         useful for validating the penalty formulation against it
         (benchmarks/bench_ablation_solver.py).
     rollout_backend:
-        ``"scalar"`` (default) keeps the reference pure-Python rollout;
-        ``"vectorized"`` switches the penalty solver onto the batched
-        NumPy kernel with a batched central-difference gradient (see
-        module docstring).  The SLSQP method always uses the scalar model.
+        ``"vectorized"`` (default) runs the penalty solver on the batched
+        NumPy kernel with a batched central-difference gradient;
+        ``"scalar"`` keeps the reference pure-Python rollout under scipy's
+        forward differences (see module docstring).  The SLSQP method
+        always uses the scalar model.
     """
 
     #: Supported solver formulations.
@@ -170,7 +186,7 @@ class MPCPlanner:
         inlet_span_k: tuple = (288.15, 312.0),
         max_function_evals: int = 150,
         method: str = "penalty",
-        rollout_backend: str = "scalar",
+        rollout_backend: str = "vectorized",
     ):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -352,89 +368,6 @@ class MPCPlanner:
         self._wins[best_label] += 1
         return best
 
-    def _solve_penalty_batched(self, state, preview, step):
-        """One joint L-BFGS-B race over the stacked multi-start candidates.
-
-        The hinge-penalty objective is evaluated by the batched kernel: a
-        ``fun+jac`` round costs a *single* rollout-kernel invocation over
-        the stacked central-difference stencil of every candidate
-        (``S * (4N+1)`` rows), instead of ``2N+1`` serial Python rollouts
-        per candidate.  The stacked objective is the sum of the per-block
-        costs; blocks share no variables, so minimizing the sum optimizes
-        each start, and the best block wins the race.
-        """
-        n = self._n
-        dim = 2 * n
-        eps = self.FD_EPS
-        vec = self._vec_model
-        starts = self._starts(state[1])
-        labels = self._start_labels()
-        s = len(starts)
-        z0 = np.concatenate(starts)
-        rows = 2 * dim + 1  # base + forward + backward stencil per block
-        offsets = np.zeros((rows, dim))
-        idx = np.arange(dim)
-        offsets[1 + idx, idx] = eps
-        offsets[1 + dim + idx, idx] = -eps
-
-        def block_costs(blocks: np.ndarray) -> np.ndarray:
-            cap = self._cap_lo + blocks[:, :n] * self._cap_scale
-            inlet = self._inlet_lo + blocks[:, n:] * self._inlet_scale
-            return vec.rollout_costs(state, cap, inlet, preview, step)
-
-        seen = {"first": None, "z": None, "base": None}
-
-        def fun_and_grad(z: np.ndarray) -> tuple:
-            stencil = z.reshape(s, 1, dim) + offsets
-            costs = block_costs(stencil.reshape(s * rows, dim)).reshape(s, rows)
-            base = costs[:, 0].copy()
-            if seen["first"] is None:
-                seen["first"] = base  # the start points' own costs (x0 round)
-            seen["z"], seen["base"] = z.copy(), base
-            grad = (costs[:, 1 : 1 + dim] - costs[:, 1 + dim :]) / (2.0 * eps)
-            return float(base.sum()), grad.reshape(s * dim)
-
-        # budget parity with the scalar path: there one scipy fun
-        # evaluation is one rollout and a gradient burns 2N+1 of the
-        # maxfun budget, so a start with budget b gets b/(2N+1) fun+jac
-        # rounds.  The joint solve advances every start per round, so the
-        # round count is the scalar *total* spread over the s stacked
-        # blocks: sum(budgets)/(s*(2N+1)).  A cold solve (both seeds at
-        # full budget) gets maxfun/(2N+1) rounds; a warm solve (the
-        # diversifier at half budget) gets ~3/4 of that - warm replans
-        # are cheaper than cold ones, matching the scalar backend instead
-        # of the flat 2/s*maxfun/(2N+1) both used to get (the vectorized
-        # warm==cold anomaly BENCH_mpc.json once recorded)
-        rounds = max(
-            4, int(math.ceil(sum(self._budgets(s)) / (s * (dim + 1))))
-        )
-        result = optimize.minimize(
-            fun_and_grad,
-            z0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=[(0.0, 1.0)] * (s * dim),
-            options={"maxfun": rounds, "maxiter": 60, "ftol": 1e-12},
-        )
-        blocks = np.clip(result.x.reshape(s, dim), 0.0, 1.0)
-        # L-BFGS-B guarantees descent of the *sum*, not of every block -
-        # race the solved blocks against their own starting points.  Both
-        # cost vectors usually come from cached fun rounds (the x0 round
-        # evaluated the starts; the final round usually evaluated result.x).
-        if seen["z"] is not None and np.array_equal(seen["z"], result.x):
-            final_costs = seen["base"]
-        else:
-            final_costs = block_costs(blocks)
-        candidates = np.concatenate([blocks, np.asarray(starts)])
-        costs = np.concatenate([final_costs, seen["first"]])
-        winner = int(np.argmin(costs))
-        # winner < s is a solved block, winner >= s its unsolved start;
-        # either way the originating candidate is winner % s
-        self._wins[labels[winner % s]] += 1
-        result.x = candidates[winner]
-        result.fun = float(costs[winner])
-        return result
-
     def _solve_slsqp(self, state, preview, step):
         """SLSQP with C1/C4/C5 as explicit inequality constraints (Eq. 18).
 
@@ -514,7 +447,8 @@ class MPCPlanner:
         if self._method == "slsqp":
             result = self._solve_slsqp(state, preview, step)
         elif self._backend == "vectorized":
-            result = self._solve_penalty_batched(state, preview, step)
+            states = np.asarray(state, dtype=float).reshape(1, 4)
+            return _solve_lockstep([self], states, preview[None, :], step)[0]
         else:
 
             def objective(z: np.ndarray) -> float:
@@ -522,40 +456,190 @@ class MPCPlanner:
                 return model.rollout_cost(state, cap, inlet, preview, step)
 
             result = self._solve_penalty(objective, state, n)
-        z_opt = np.clip(result.x, 0.0, 1.0)
+        return self._commit(
+            np.clip(result.x, 0.0, 1.0),
+            int(result.nit),
+            float(result.fun),
+            state,
+            preview,
+            step,
+        )
+
+    def _commit(self, z_opt, iterations, cost, state, preview, step) -> MPCPlan:
+        """Record one finished solve (warm start, counters) as a plan."""
         self._last_z = z_opt
         self._solves += 1
-        self._total_iterations += int(result.nit)
-        self._last_cost = float(result.fun)
+        self._total_iterations += iterations
+        self._last_cost = cost
         cap, inlet = self._denormalize(z_opt)
-        predicted = model.rollout(state, cap, inlet, preview, step)
+        rollout = functools.partial(
+            self._model.rollout,
+            tuple(float(x) for x in state),
+            cap.copy(),
+            inlet.copy(),
+            np.array(preview, dtype=float),
+            step,
+        )
         return MPCPlan(
             cap_bus_w=cap,
             inlet_temp_k=inlet,
-            predicted=predicted,
-            solver_iterations=int(result.nit),
-            solver_cost=float(result.fun),
+            solver_iterations=iterations,
+            solver_cost=cost,
+            _rollout=rollout,
         )
+
+
+def _solve_lockstep(
+    planners: list, states: np.ndarray, previews: np.ndarray, step: float
+) -> list:
+    """Solve one horizon per vectorized planner, all in lockstep.
+
+    The one solve routine of the vectorized backend: a single
+    :meth:`MPCPlanner.plan` is the one-planner case, and
+    :meth:`MPCPlannerVec.plan_batch` passes its whole wave.  Each
+    planner's multi-start candidates race as one joint L-BFGS-B problem
+    (the stacked objective is the sum of the per-block costs; blocks share
+    no variables, so minimizing the sum optimizes each start), and the
+    problems of all planners advance together through
+    :func:`~repro.core.lbfgsb_lockstep.minimize_lockstep`: every ``fun+jac``
+    round is a *single* kernel call over the central-difference stencils
+    of every pending candidate (``planners * starts * (4N+1)`` rows).
+
+    ``states`` is ``(S, 4)``, ``previews`` ``(S, N)`` (already padded);
+    every planner shares the solver shape and the model constants except
+    ``ecap`` (what :class:`MPCPlannerVec` checks).  Each planner's warm
+    start, counters and win attribution are updated as by its own solve.
+    """
+    p0 = planners[0]
+    m = len(planners)
+    n = p0._n
+    dim = 2 * n
+    eps = MPCPlanner.FD_EPS
+    vec = p0._vec_model
+    ecap = np.array([p._model.ecap for p in planners])
+
+    # per-scenario starts / budgets (warm status may differ per row)
+    all_starts = []
+    all_labels = []
+    rounds = []
+    for j, p in enumerate(planners):
+        starts = p._starts(states[j, 1])
+        all_starts.append(starts)
+        all_labels.append(p._start_labels())
+        s = len(starts)
+        # budget parity with the scalar path: there one scipy fun
+        # evaluation is one rollout and a gradient burns 2N+1 of the
+        # maxfun budget, so a start with budget b gets b/(2N+1) fun+jac
+        # rounds.  The joint solve advances every start per round, so the
+        # round count is the scalar *total* spread over the s stacked
+        # blocks: sum(budgets)/(s*(2N+1)).  A cold solve (both seeds at
+        # full budget) gets maxfun/(2N+1) rounds; a warm solve (the
+        # diversifier at half budget) gets ~3/4 of that
+        rounds.append(max(4, int(math.ceil(sum(p._budgets(s)) / (s * (dim + 1))))))
+    s = len(all_starts[0])  # always 2 (warm or cold race)
+    rows = 2 * dim + 1  # base + forward + backward stencil per block
+    offsets = np.zeros((rows, dim))
+    idx_d = np.arange(dim)
+    offsets[1 + idx_d, idx_d] = eps
+    offsets[1 + dim + idx_d, idx_d] = -eps
+    x0s = np.stack([np.concatenate(st) for st in all_starts])
+
+    cap_lo, cap_scale = p0._cap_lo, p0._cap_scale
+    inlet_lo, inlet_scale = p0._inlet_lo, p0._inlet_scale
+
+    def kernel(blocks: np.ndarray, scen_idx: np.ndarray) -> np.ndarray:
+        """Stacked costs for candidate rows tagged with scenario ids."""
+        cap = cap_lo + blocks[:, :n] * cap_scale
+        inlet = inlet_lo + blocks[:, n:] * inlet_scale
+        return vec.rollout_costs_stacked(
+            states[scen_idx],
+            cap,
+            inlet,
+            previews[scen_idx],
+            step,
+            ecap=ecap[scen_idx],
+        )
+
+    seen_first: list = [None] * m
+    seen_z: list = [None] * m
+    seen_base: list = [None] * m
+
+    def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple:
+        b = batch.shape[0]
+        stencil = batch.reshape(b, s, 1, dim) + offsets
+        scen_idx = np.repeat(idx, s * rows)
+        costs = kernel(stencil.reshape(b * s * rows, dim), scen_idx)
+        costs = costs.reshape(b, s, rows)
+        f = np.empty(b)
+        grads = np.empty((b, s * dim))
+        for r in range(b):
+            j = int(idx[r])
+            base = costs[r, :, 0].copy()
+            if seen_first[j] is None:
+                seen_first[j] = base  # the start points' own costs
+            seen_z[j], seen_base[j] = batch[r].copy(), base
+            grad = (costs[r, :, 1 : 1 + dim] - costs[r, :, 1 + dim :]) / (2.0 * eps)
+            f[r] = float(base.sum())
+            grads[r] = grad.reshape(s * dim)
+        return f, grads
+
+    results = minimize_lockstep(
+        evaluate,
+        x0s,
+        np.zeros(s * dim),
+        np.ones(s * dim),
+        maxfun=rounds,
+        maxiter=60,
+        ftol=1e-12,
+    )
+
+    plans = []
+    for j, (p, res) in enumerate(zip(planners, results)):
+        blocks = np.clip(res.x.reshape(s, dim), 0.0, 1.0)
+        # L-BFGS-B guarantees descent of the *sum*, not of every block -
+        # race the solved blocks against their own starting points.  Both
+        # cost vectors usually come from cached rounds (the x0 round
+        # evaluated the starts; the final round usually evaluated res.x)
+        if seen_z[j] is not None and np.array_equal(seen_z[j], res.x):
+            final_costs = seen_base[j]
+        else:
+            final_costs = kernel(blocks, np.full(s, j))
+        candidates = np.concatenate([blocks, np.asarray(all_starts[j])])
+        costs = np.concatenate([final_costs, seen_first[j]])
+        winner = int(np.argmin(costs))
+        # winner < s is a solved block, winner >= s its unsolved start;
+        # either way the originating candidate is winner % s
+        p._wins[all_labels[j][winner % s]] += 1
+        plans.append(
+            p._commit(
+                np.clip(candidates[winner], 0.0, 1.0),
+                int(res.nit),
+                float(costs[winner]),
+                states[j],
+                previews[j],
+                step,
+            )
+        )
+    return plans
 
 
 class MPCPlannerVec:
     """Solves S scenarios' OTEM horizon problems in lockstep.
 
-    One planner per scenario would issue S independent
-    ``optimize.minimize`` calls per replan wave; this twin drives all S
-    solves simultaneously through the reverse-communication L-BFGS-B
-    driver (:mod:`repro.core.lbfgsb_lockstep`), stacking every pending
-    scenario's multi-start central-difference stencil into a *single*
-    kernel call per round via
+    One planner per scenario would run S independent solves per replan
+    wave; this class drives all S solves simultaneously through the
+    reverse-communication L-BFGS-B driver
+    (:mod:`repro.core.lbfgsb_lockstep`), stacking every pending scenario's
+    multi-start central-difference stencil into a *single* kernel call per
+    round via
     :meth:`repro.core.rollout_vec.BatchPredictionModel.rollout_costs_stacked`.
 
     Equivalence contract: scenario ``j``'s plans are identical to what a
     private ``MPCPlanner(models[j], ..., rollout_backend="vectorized")``
-    would produce for the same replan sequence - same starts, same
-    warm/cold budgets, same L-BFGS-B iterate trajectory (the driver is
-    probe-verified bitwise against ``optimize.minimize``), same winner
-    race.  ``tests/core/test_mpc_vec.py`` enforces this to 1e-9 on plan
-    actions and cost (observed agreement: exact).
+    would produce for the same replan sequence - both run the same solve
+    routine, which a single planner enters with one scenario.
+    ``tests/core/test_mpc.py::TestBatchedPlanner`` checks this to 1e-9 on
+    plan actions and cost (observed agreement: exact).
 
     Parameters
     ----------
@@ -609,8 +693,6 @@ class MPCPlannerVec:
             )
             for mdl in models
         ]
-        self._vec = BatchPredictionModel.from_scalar(models[0])
-        self._ecap = np.array([mdl.ecap for mdl in models])
         self._n = horizon
         self._dt = step_s
 
@@ -671,15 +753,10 @@ class MPCPlannerVec:
         """
         if indices is None:
             planners = self._planners
-            ecap = self._ecap
         else:
-            sel = [int(j) for j in np.asarray(indices).ravel()]
-            planners = [self._planners[j] for j in sel]
-            ecap = self._ecap[sel]
+            planners = [self._planners[int(j)] for j in np.asarray(indices).ravel()]
         m = len(planners)
         n = self._n
-        dim = 2 * n
-        eps = MPCPlanner.FD_EPS
         step = self._dt if dt is None else dt
         states = np.asarray(states, dtype=float)
         if states.shape != (m, 4):
@@ -692,109 +769,4 @@ class MPCPlannerVec:
             previews_p[:, : src.shape[1]] = src
         else:
             previews_p = src
-
-        # per-scenario starts / budgets (warm status may differ per row)
-        all_starts = []
-        all_labels = []
-        rounds = []
-        for j, p in enumerate(planners):
-            starts = p._starts(states[j, 1])
-            all_starts.append(starts)
-            all_labels.append(p._start_labels())
-            s = len(starts)
-            rounds.append(
-                max(4, int(math.ceil(sum(p._budgets(s)) / (s * (dim + 1)))))
-            )
-        s = len(all_starts[0])  # always 2 (warm or cold race)
-        rows = 2 * dim + 1
-        offsets = np.zeros((rows, dim))
-        idx_d = np.arange(dim)
-        offsets[1 + idx_d, idx_d] = eps
-        offsets[1 + dim + idx_d, idx_d] = -eps
-        x0s = np.stack([np.concatenate(st) for st in all_starts])
-
-        p0 = planners[0]
-        cap_lo, cap_scale = p0._cap_lo, p0._cap_scale
-        inlet_lo, inlet_scale = p0._inlet_lo, p0._inlet_scale
-        vec = self._vec
-
-        def kernel(blocks: np.ndarray, scen_idx: np.ndarray) -> np.ndarray:
-            """Stacked costs for candidate rows tagged with scenario ids."""
-            cap = cap_lo + blocks[:, :n] * cap_scale
-            inlet = inlet_lo + blocks[:, n:] * inlet_scale
-            return vec.rollout_costs_stacked(
-                states[scen_idx],
-                cap,
-                inlet,
-                previews_p[scen_idx],
-                step,
-                ecap=ecap[scen_idx],
-            )
-
-        seen_first: list = [None] * m
-        seen_z: list = [None] * m
-        seen_base: list = [None] * m
-
-        def evaluate(batch: np.ndarray, idx: np.ndarray) -> tuple:
-            b = batch.shape[0]
-            stencil = batch.reshape(b, s, 1, dim) + offsets
-            scen_idx = np.repeat(idx, s * rows)
-            costs = kernel(stencil.reshape(b * s * rows, dim), scen_idx)
-            costs = costs.reshape(b, s, rows)
-            f = np.empty(b)
-            grads = np.empty((b, s * dim))
-            for r in range(b):
-                j = int(idx[r])
-                base = costs[r, :, 0].copy()
-                if seen_first[j] is None:
-                    seen_first[j] = base  # the start points' own costs
-                seen_z[j], seen_base[j] = batch[r].copy(), base
-                grad = (costs[r, :, 1 : 1 + dim] - costs[r, :, 1 + dim :]) / (
-                    2.0 * eps
-                )
-                f[r] = float(base.sum())
-                grads[r] = grad.reshape(s * dim)
-            return f, grads
-
-        results = minimize_lockstep(
-            evaluate,
-            x0s,
-            np.zeros(s * dim),
-            np.ones(s * dim),
-            maxfun=rounds,
-            maxiter=60,
-            ftol=1e-12,
-        )
-
-        plans = []
-        for j, (p, res) in enumerate(zip(planners, results)):
-            blocks = np.clip(res.x.reshape(s, dim), 0.0, 1.0)
-            if seen_z[j] is not None and np.array_equal(seen_z[j], res.x):
-                final_costs = seen_base[j]
-            else:
-                final_costs = kernel(blocks, np.full(s, j))
-            candidates = np.concatenate([blocks, np.asarray(all_starts[j])])
-            costs = np.concatenate([final_costs, seen_first[j]])
-            winner = int(np.argmin(costs))
-            p._wins[all_labels[j][winner % s]] += 1
-            z_opt = np.clip(candidates[winner], 0.0, 1.0)
-            nit = int(res.nit)
-            cost = float(costs[winner])
-            p._last_z = z_opt
-            p._solves += 1
-            p._total_iterations += nit
-            p._last_cost = cost
-            cap, inlet = p._denormalize(z_opt)
-            predicted = p._model.rollout(
-                tuple(states[j]), cap, inlet, previews_p[j], step
-            )
-            plans.append(
-                MPCPlan(
-                    cap_bus_w=cap,
-                    inlet_temp_k=inlet,
-                    predicted=predicted,
-                    solver_iterations=nit,
-                    solver_cost=cost,
-                )
-            )
-        return plans
+        return _solve_lockstep(planners, states, previews_p, step)

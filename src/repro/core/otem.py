@@ -50,10 +50,11 @@ class OTEMController:
         Solver formulation, ``"penalty"`` or ``"slsqp"`` (see
         :class:`repro.core.mpc.MPCPlanner`).
     rollout_backend:
-        ``"scalar"`` (reference implementation) or ``"vectorized"`` (batched
-        NumPy kernel with batched finite-difference gradients - same model
-        physics, several times faster per solve; see
-        :class:`repro.core.rollout_vec.BatchPredictionModel`).
+        ``"vectorized"`` (default: batched NumPy kernel with batched
+        finite-difference gradients, see
+        :class:`repro.core.rollout_vec.BatchPredictionModel`) or
+        ``"scalar"`` (the pure-Python reference it is checked against -
+        same model physics, several times slower per solve).
 
     Notes
     -----
@@ -79,7 +80,7 @@ class OTEMController:
         max_function_evals: int = 150,
         preview_mode: str = "perfect",
         mpc_method: str = "penalty",
-        rollout_backend: str = "scalar",
+        rollout_backend: str = "vectorized",
     ):
         if preview_mode not in ("perfect", "persistence"):
             raise ValueError(

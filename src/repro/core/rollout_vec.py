@@ -17,10 +17,12 @@ same elementwise expressions the shared-state path uses, which keeps the
 per-element arithmetic - and therefore the equivalence bound - unchanged
 regardless of how rows are stacked.
 
-This is the solver hot path: a batched finite-difference gradient costs
-one kernel invocation instead of ``2N+1`` serial Python rollouts, and the
-multi-start candidates of :meth:`repro.core.mpc.MPCPlanner._solve_penalty`
-race as rows of a single batch.  The scalar model stays the semantic
+This is the solver hot path of the default (vectorized) MPC backend: a
+batched finite-difference gradient costs one kernel invocation instead of
+``2N+1`` serial Python rollouts, and every planner's multi-start
+candidates - one scenario's in :meth:`repro.core.mpc.MPCPlanner.plan`, a
+whole wave's in :meth:`repro.core.mpc.MPCPlannerVec.plan_batch` - race as
+rows of a single stacked batch.  The scalar model stays the semantic
 reference; this module only exists to make it fast.
 """
 

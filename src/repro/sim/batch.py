@@ -39,6 +39,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import pickle
 import time
@@ -61,6 +62,8 @@ CACHE_SCHEMA = 4
 
 #: Accepted ``run_batch(execution=...)`` modes.
 EXECUTION_MODES = ("auto", "lockstep", "scalar")
+
+_log = logging.getLogger("repro")
 
 #: Default cache directory (created on first use; gitignored).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -520,13 +523,13 @@ def run_batch(
     scalar_pending = [i for i in pending if i not in lockstep_cells]
 
     # lockstep groups first (in-process, one NumPy loop per group); a group
-    # that fails re-routes its cells to the scalar path below, where each
-    # cell is crash-isolated individually
+    # that fails is logged and re-routes its cells to the scalar path
+    # below, where each cell is crash-isolated individually
     if lock_pending:
         groups: dict = {}
         for i in lock_pending:
             groups.setdefault(lockstep_key(scenarios[i]), []).append(i)
-        for indices in groups.values():
+        for key, indices in groups.items():
             if cancelled():
                 for i in indices:
                     complete(i, None, _CANCELLED_ERROR)
@@ -534,7 +537,18 @@ def run_batch(
             t0 = time.perf_counter()
             try:
                 results = run_lockstep([scenarios[i] for i in indices])
-            except Exception:  # noqa: BLE001 - fall back, isolate per cell
+            except Exception as exc:  # noqa: BLE001 - fall back, isolate per cell
+                # the full key (pack, coolant, solver shape) rides on the
+                # record; the message names the methodology and the cells
+                _log.warning(
+                    "lockstep group failed (%s, cells %s): %r; rerunning "
+                    "its cells on the scalar engine",
+                    key[0],
+                    indices,
+                    exc,
+                    exc_info=exc,
+                    extra={"group_key": key},
+                )
                 for i in indices:
                     lockstep_cells.discard(i)
                     if cache is not None:

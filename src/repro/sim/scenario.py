@@ -63,9 +63,9 @@ class Scenario:
     mpc_horizon / mpc_step_s / mpc_max_evals:
         OTEM planner knobs (ignored by baselines).
     rollout_backend:
-        MPC rollout implementation, ``"scalar"`` (reference) or
-        ``"vectorized"`` (batched NumPy kernel, several times faster per
-        solve; ignored by baselines).
+        MPC rollout implementation, ``"vectorized"`` (default: batched
+        NumPy kernel) or ``"scalar"`` (the pure-Python reference, several
+        times slower per solve); ignored by baselines.
     perturb_seed:
         When not ``None``, the route is the deterministic traffic-perturbed
         variant of ``cycle`` with this seed (see
@@ -85,7 +85,7 @@ class Scenario:
     mpc_horizon: int = 12
     mpc_step_s: float = 5.0
     mpc_max_evals: int = 150
-    rollout_backend: str = "scalar"
+    rollout_backend: str = "vectorized"
     perturb_seed: int | None = None
 
     def __post_init__(self):

@@ -116,6 +116,56 @@ class TestPlanQuality:
         assert plan.solver_iterations >= 0
 
 
+class TestLazyPrediction:
+    """``MPCPlan.predicted`` is computed on first read, not per solve."""
+
+    @pytest.fixture
+    def rollout_calls(self, monkeypatch):
+        """Every detailed scalar rollout made while the test runs."""
+        calls = []
+        real = PredictionModel.rollout
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(PredictionModel, "rollout", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", MPCPlanner.BACKENDS)
+    def test_solve_runs_no_detailed_rollout(self, backend, rollout_calls):
+        planner = make_planner(horizon=4, rollout_backend=backend)
+        plan = planner.plan((298.0, 298.0, 90.0, 80.0), np.full(4, 10_000.0))
+        assert rollout_calls == []
+        first = plan.predicted
+        assert plan.predicted is first  # cached after the first read
+        assert len(rollout_calls) == 1
+
+    def test_batched_plans_are_lazy_too(self, rollout_calls):
+        vec = MPCPlannerVec([make_model(), make_model()], horizon=4)
+        states = np.array([(298.0, 298.0, 90.0, 80.0), (305.0, 304.0, 80.0, 60.0)])
+        plans = vec.plan_batch(states, np.full((2, 4), 20_000.0))
+        assert rollout_calls == []
+        assert len(plans[1].predicted.temps_k) == 5
+        assert len(rollout_calls) == 1
+
+    def test_reads_the_solved_horizon_not_later_buffers(self):
+        planner = make_planner(horizon=4)
+        state = np.array([305.0, 304.0, 80.0, 60.0])
+        preview = np.full(4, 30_000.0)
+        plan = planner.plan(state, preview)
+        expected = planner._model.rollout(
+            tuple(state),
+            plan.cap_bus_w,
+            plan.inlet_temp_k,
+            preview.copy(),
+            planner.step_s,
+        )
+        state[:] = 0.0
+        preview[:] = 0.0
+        assert plan.predicted == expected
+
+
 class TestVectorizedBackend:
     """The batched-kernel penalty solver (rollout_backend="vectorized")."""
 
@@ -127,7 +177,8 @@ class TestVectorizedBackend:
         vec = make_planner(horizon=6, rollout_backend="vectorized")
         assert vec.rollout_backend == "vectorized"
         assert vec.stats.backend == "vectorized"
-        assert make_planner(horizon=6).stats.backend == "scalar"
+        scalar = make_planner(horizon=6, rollout_backend="scalar")
+        assert scalar.stats.backend == "scalar"
 
     def test_last_cost_serialization(self):
         import math

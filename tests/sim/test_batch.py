@@ -51,7 +51,7 @@ class TestFingerprint:
             {"ucap_farads": 5_000.0},
             {"initial_temp_k": 310.0},
             {"mpc_max_evals": 10},
-            {"rollout_backend": "vectorized"},
+            {"rollout_backend": "scalar"},
             {"perturb_seed": 1},
         ):
             varied = dataclasses.replace(base, **change)
@@ -215,6 +215,7 @@ class TestSolverStatsPlumbing:
             mpc_horizon=4,
             mpc_step_s=30.0,
             mpc_max_evals=10,
+            rollout_backend="scalar",
         )
         batch = run_batch([scenario])
         cell = batch.cells[0]
@@ -306,6 +307,7 @@ class TestLockstepRouting:
             mpc_horizon=4,
             mpc_step_s=30.0,
             mpc_max_evals=10,
+            rollout_backend="scalar",
         )
         batch = run_batch([GRID[0], GRID[1], otem], execution="lockstep")
         assert batch.ok
@@ -349,6 +351,29 @@ class TestLockstepRouting:
         assert "no-such-cycle" in batch.cells[1].error
         assert batch.cells[0].engine_backend == "scalar"
         assert batch.methodology == "serial"  # nothing stayed on lockstep
+
+    def test_group_failure_is_logged(self, monkeypatch, caplog):
+        """A failed group is not swallowed: the cells finish on the scalar
+        path and a warning on the ``repro`` logger names the group and the
+        exception."""
+        import repro.sim.batch as batch_mod
+        from repro.sim.engine_vec import lockstep_key
+
+        def explode(scenarios):
+            raise RuntimeError("lockstep wave diverged")
+
+        monkeypatch.setattr(batch_mod, "run_lockstep", explode)
+        with caplog.at_level("WARNING", logger="repro"):
+            batch = run_batch(GRID)
+        assert batch.ok
+        assert [c.engine_backend for c in batch.cells] == ["scalar"] * 4
+        records = [r for r in caplog.records if r.name == "repro"]
+        assert len(records) == 2  # one per group: parallel, dual
+        assert {r.group_key for r in records} == {lockstep_key(s) for s in GRID}
+        for record in records:
+            assert record.levelname == "WARNING"
+            assert "lockstep wave diverged" in record.getMessage()
+            assert record.exc_info[0] is RuntimeError
 
 
 #: A fast lockstep-eligible OTEM scenario (vectorized backend, tiny solver).
@@ -513,7 +538,8 @@ class TestBenchPayload:
         assert payload["methodology"] == "serial"
         assert payload["cache"] == {"hits": 0, "misses": 0}
         assert len(payload["rows"]) == 2
-        assert all(r["rollout_backend"] == "scalar" for r in payload["rows"])
+        default = Scenario().rollout_backend
+        assert all(r["rollout_backend"] == default for r in payload["rows"])
         import json
 
         json.dumps(payload, allow_nan=False)  # strict-JSON-serializable as-is

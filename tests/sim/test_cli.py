@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _grid_from_args, _scenario_from_args, build_parser, main
+from repro.sim.scenario import Scenario
 
 
 def run_cli(argv):
@@ -27,6 +28,28 @@ class TestParser:
         assert args.methodology == "otem"
         assert args.cycle == "us06"
         assert args.repeat == 1
+
+
+class TestRolloutBackendDefault:
+    """Without ``--rollout-backend`` every command runs Scenario's default."""
+
+    def test_run_uses_scenario_default(self):
+        args = build_parser().parse_args(["run", "-m", "otem"])
+        assert _scenario_from_args(args).rollout_backend == Scenario().rollout_backend
+
+    @pytest.mark.parametrize("command", ["batch", "submit"])
+    def test_grid_uses_scenario_default(self, command):
+        base, axes = _grid_from_args(build_parser().parse_args([command]))
+        assert base.rollout_backend == Scenario().rollout_backend
+        assert axes["rollout_backend"] == [Scenario().rollout_backend]
+
+    def test_flag_still_selects_the_reference(self):
+        args = build_parser().parse_args(["run", "--rollout-backend", "scalar"])
+        assert _scenario_from_args(args).rollout_backend == "scalar"
+        _, axes = _grid_from_args(
+            build_parser().parse_args(["batch", "--rollout-backend", "scalar"])
+        )
+        assert axes["rollout_backend"] == ["scalar"]
 
 
 class TestCycles:

@@ -157,11 +157,15 @@ class TestGrouping:
             )
 
     def test_scalar_backend_otem_rejected(self):
-        """Default (scalar-backend) OTEM stays off the lockstep engine:
-        routing it would silently switch solver backends."""
-        assert not lockstep_supported(Scenario(methodology="otem"))
+        """Scalar-backend OTEM stays off the lockstep engine: routing it
+        would silently switch solver backends."""
+        assert not lockstep_supported(
+            Scenario(methodology="otem", rollout_backend="scalar")
+        )
         with pytest.raises(ValueError, match="rollout_backend='vectorized'"):
-            run_lockstep([Scenario(methodology="otem", cycle="nycc")])
+            run_lockstep(
+                [Scenario(methodology="otem", cycle="nycc", rollout_backend="scalar")]
+            )
 
     def test_vectorized_backend_otem_supported(self):
         assert lockstep_supported(
