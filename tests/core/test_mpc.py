@@ -50,20 +50,23 @@ class TestConstruction:
 
 
 class TestPlanShape:
+    """The scalar reference backend; TestVectorizedBackend mirrors these
+    checks on the default."""
+
     def test_plan_lengths(self):
-        planner = make_planner(horizon=8)
+        planner = make_planner(horizon=8, rollout_backend="scalar")
         plan = planner.plan((298.0, 298.0, 90.0, 80.0), np.full(8, 15_000.0))
         assert plan.horizon == 8
         assert plan.cap_bus_w.shape == (8,)
         assert plan.inlet_temp_k.shape == (8,)
 
     def test_short_preview_zero_padded(self):
-        planner = make_planner(horizon=8)
+        planner = make_planner(horizon=8, rollout_backend="scalar")
         plan = planner.plan((298.0, 298.0, 90.0, 80.0), np.full(3, 15_000.0))
         assert plan.horizon == 8
 
     def test_inputs_within_bounds(self):
-        planner = make_planner(horizon=6)
+        planner = make_planner(horizon=6, rollout_backend="scalar")
         plan = planner.plan((305.0, 305.0, 70.0, 60.0), np.full(6, 25_000.0))
         assert np.all(np.abs(plan.cap_bus_w) <= planner._cap_hi + 1e-6)
         assert np.all(plan.inlet_temp_k >= 288.15 - 1e-6)
@@ -71,8 +74,10 @@ class TestPlanShape:
 
 
 class TestPlanQuality:
+    """The scalar reference backend's per-start multi-start solve."""
+
     def test_hot_state_plans_cooling(self):
-        planner = make_planner(horizon=8)
+        planner = make_planner(horizon=8, rollout_backend="scalar")
         plan = planner.plan((312.0, 311.0, 80.0, 90.0), np.full(8, 20_000.0))
         # some horizon step must command a meaningfully colder inlet
         assert np.min(plan.inlet_temp_k) < 305.0
@@ -83,7 +88,7 @@ class TestPlanQuality:
         Without multi-start L-BFGS-B stalls after ~2 iterations here and
         keeps inlet at T_c (documented optimizer pathology).
         """
-        planner = make_planner(horizon=12)
+        planner = make_planner(horizon=12, rollout_backend="scalar")
         state = (313.0, 311.0, 70.0, 60.0)
         plan = planner.plan(state, np.full(12, 20_000.0))
         do_nothing = planner._model.rollout_cost(
@@ -92,7 +97,7 @@ class TestPlanQuality:
         assert plan.solver_cost < do_nothing
 
     def test_beats_full_cooling_reference(self):
-        planner = make_planner(horizon=8)
+        planner = make_planner(horizon=8, rollout_backend="scalar")
         state = (310.0, 309.0, 80.0, 90.0)
         preview = np.full(8, 20_000.0)
         plan = planner.plan(state, preview)
@@ -102,7 +107,7 @@ class TestPlanQuality:
         assert plan.solver_cost <= full_cool + 1e-6
 
     def test_warm_start_reused(self):
-        planner = make_planner(horizon=6)
+        planner = make_planner(horizon=6, rollout_backend="scalar")
         state = (305.0, 304.0, 80.0, 80.0)
         planner.plan(state, np.full(6, 15_000.0))
         assert planner._last_z is not None
@@ -110,7 +115,7 @@ class TestPlanQuality:
         assert planner._last_z is None
 
     def test_predicted_rollout_attached(self):
-        planner = make_planner(horizon=6)
+        planner = make_planner(horizon=6, rollout_backend="scalar")
         plan = planner.plan((298.0, 298.0, 90.0, 80.0), np.full(6, 10_000.0))
         assert len(plan.predicted.temps_k) == 7
         assert plan.solver_iterations >= 0
@@ -199,6 +204,16 @@ class TestVectorizedBackend:
         assert np.all(plan.inlet_temp_k >= 288.15 - 1e-6)
         assert np.all(plan.inlet_temp_k <= 312.0 + 1e-6)
 
+    def test_short_preview_zero_padded(self):
+        planner = make_planner(horizon=8, rollout_backend="vectorized")
+        plan = planner.plan((298.0, 298.0, 90.0, 80.0), np.full(3, 15_000.0))
+        assert plan.horizon == 8
+
+    def test_hot_state_plans_cooling(self):
+        planner = make_planner(horizon=8, rollout_backend="vectorized")
+        plan = planner.plan((312.0, 311.0, 80.0, 90.0), np.full(8, 20_000.0))
+        assert np.min(plan.inlet_temp_k) < 305.0
+
     def test_multistart_escapes_stall(self):
         """Mirror of the scalar stall test: the joint batched race must
         also beat the do-nothing plan from the documented pathology."""
@@ -215,7 +230,7 @@ class TestVectorizedBackend:
         a few percent of each other (different optimizer trajectories)."""
         state = (310.0, 309.0, 75.0, 70.0)
         preview = np.full(8, 20_000.0)
-        scalar = make_planner(horizon=8).plan(state, preview)
+        scalar = make_planner(horizon=8, rollout_backend="scalar").plan(state, preview)
         vec = make_planner(horizon=8, rollout_backend="vectorized").plan(
             state, preview
         )

@@ -62,3 +62,45 @@ class TestRouteMetricsEquivalence:
         # both backends must satisfy the route (no meaningful unmet energy)
         assert scalar.metrics.unmet_energy_j < 1.0
         assert vectorized.metrics.unmet_energy_j < 1.0
+
+
+class TestTightRouteGap:
+    """The vectorized default against the scalar reference where the
+    problem is tight: US06 replanned every 10 s instead of 5 s.
+
+    Here the default plans worse than the reference (0.01510 vs 0.01195%
+    capacity loss at the last measurement, x1.26; on NYCC and at the
+    default period the two stay within a few percent).  The bound pins
+    that gap at its measured size, so a further loss of plan quality on
+    the default path fails here rather than only shifting the paper-shape
+    benches.  Tighten it when the gap closes.
+    """
+
+    _KNOBS = dict(methodology="otem", cycle="us06", mpc_step_s=10.0)
+    #: vectorized / scalar capacity loss, measured x1.2635
+    MAX_LOSS_RATIO = 1.30
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        return {
+            backend: run_scenario(Scenario(**self._KNOBS, rollout_backend=backend))
+            for backend in ("scalar", "vectorized")
+        }
+
+    def test_same_replans(self, routes):
+        assert routes["scalar"].solver.solves == routes["vectorized"].solver.solves
+
+    def test_capacity_loss_gap_does_not_grow(self, routes):
+        scalar = routes["scalar"].metrics.qloss_percent
+        vectorized = routes["vectorized"].metrics.qloss_percent
+        assert vectorized <= scalar * self.MAX_LOSS_RATIO
+
+    def test_default_still_beats_parallel(self, routes):
+        """Fig. 8's ordering survives the gap on this route."""
+        parallel = run_scenario(
+            Scenario(methodology="parallel", cycle="us06", mpc_step_s=10.0)
+        )
+        assert (
+            routes["vectorized"].metrics.qloss_percent
+            < parallel.metrics.qloss_percent
+        )
