@@ -2,10 +2,10 @@
 
 The fast-bench CI smoke.  Runs the ucap-size sweep (the Table I grid at
 smoke scale) three ways - serially, fanned out over worker processes, and
-again against a warm cache - asserts the three agree exactly, and writes
-the repo's perf-trajectory artifact ``BENCH_batch.json`` with the
-serial/parallel wall-clocks, cache hit/miss counts, and per-scenario MPC
-solve statistics.
+again against a warm experiment store - asserts the three agree exactly,
+and writes the repo's perf-trajectory artifact ``BENCH_batch.json`` with
+the serial/parallel wall-clocks, cache hit/miss counts, and per-scenario
+MPC solve statistics.
 
 Parallel wall-clock beats serial only when the runner has >= 2 cores; the
 assertion here is therefore on *correctness* (bitwise-identical metrics),
@@ -18,8 +18,9 @@ from __future__ import annotations
 import os
 
 from benchmarks.conftest import BATCH_WORKERS, run_once
-from repro.sim.batch import ResultCache, run_batch, scenario_grid
+from repro.sim.batch import run_batch, scenario_grid
 from repro.sim.scenario import Scenario
+from repro.store import ExperimentStore
 
 #: Smoke-scale ucap-size sweep: both ends of the paper's Table I range,
 #: all three Table I methodologies, on the short NYCC route with a reduced
@@ -37,7 +38,7 @@ SWEEP = scenario_grid(
 ENGINE = "scalar"
 
 
-def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
+def test_batch_parallel_matches_serial_and_records_trajectory(benchmark, tmp_path):
     serial = run_batch(SWEEP, workers=0, execution=ENGINE)
     assert serial.ok
 
@@ -49,13 +50,12 @@ def test_batch_parallel_matches_serial_and_records_trajectory(benchmark):
     # parallel execution must not change a single bit of the results
     assert [c.metrics for c in parallel.cells] == [c.metrics for c in serial.cells]
 
-    # the shared on-disk cache: the first pass may hit (CI restores
-    # .repro_cache between runs - that is the point), the second pass must
-    # serve every cell without recomputing
-    cache = ResultCache()
-    warmup = run_batch(SWEEP, workers=0, cache=cache, execution=ENGINE)
-    cached = run_batch(SWEEP, workers=0, cache=cache, execution=ENGINE)
-    assert warmup.cache_hits + warmup.cache_misses == len(SWEEP)
+    # a fresh experiment store: the first pass misses every cell, the
+    # second serves every cell without recomputing
+    store = ExperimentStore(tmp_path)
+    warmup = run_batch(SWEEP, workers=0, store=store, execution=ENGINE)
+    cached = run_batch(SWEEP, workers=0, store=store, execution=ENGINE)
+    assert warmup.cache_hits == 0 and warmup.cache_misses == len(SWEEP)
     assert cached.cache_hits == len(SWEEP) and cached.cache_misses == 0
     assert [c.metrics for c in cached.cells] == [c.metrics for c in serial.cells]
 

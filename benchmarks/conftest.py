@@ -42,10 +42,11 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 
     The wall-clock of the measured call is recorded into
-    ``BENCH_suite.json`` under the function's name, building the repo's
+    ``BENCH_suite.json`` under the bench test's name (one key per test,
+    even when two tests time the same function), building the repo's
     perf trajectory as a side effect of running the bench suite.
     """
     start = time.perf_counter()
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    record_timing("suite", fn.__name__, time.perf_counter() - start)
+    record_timing("suite", benchmark.name, time.perf_counter() - start)
     return result

@@ -10,7 +10,7 @@ specific speed trace.
 
 The (member x methodology) ensemble is a plain scenario grid
 (``Scenario(perturb_seed=...)``) executed by :func:`repro.run_batch`, so
-it fans out over worker processes and caches per-member results.
+it fans out over worker processes.
 
 Usage::
 
@@ -22,7 +22,6 @@ import sys
 import numpy as np
 
 from repro import Scenario, run_batch, scenario_grid
-from repro.sim.batch import ResultCache
 
 METHODS = ("parallel", "dual", "otem")
 
@@ -37,9 +36,7 @@ def main():
         perturb_seed=range(members),
         methodology=METHODS,
     )
-    batch = run_batch(
-        grid, workers=workers, cache=ResultCache()
-    ).raise_on_failure()
+    batch = run_batch(grid, workers=workers).raise_on_failure()
 
     qloss = {seed: {} for seed in range(members)}
     for cell in batch.cells:
@@ -49,8 +46,7 @@ def main():
 
     print(
         f"Ensemble: {members} traffic variants of {cycle} "
-        f"({len(grid)} cells, {workers or 1} worker(s), "
-        f"{batch.cache_hits} cached, {batch.wall_s:.1f} s)"
+        f"({len(grid)} cells, {workers or 1} worker(s), {batch.wall_s:.1f} s)"
     )
     ratios_otem = []
     ratios_dual = []

@@ -7,8 +7,7 @@ run before buying 25,000 F worth of ultracapacitors (~$15k at the paper's
 price point).
 
 The sweep is one :func:`repro.run_batch` grid: pass a worker count to fan
-it out over processes, and repeated invocations are served from the
-on-disk result cache in ``.repro_cache``.
+it out over processes.
 
 Usage::
 
@@ -18,7 +17,6 @@ Usage::
 import sys
 
 from repro import Scenario, run_batch, scenario_grid
-from repro.sim.batch import ResultCache
 from repro.utils.units import kelvin_to_celsius
 
 SIZES_F = (5_000.0, 10_000.0, 15_000.0, 20_000.0, 25_000.0)
@@ -36,14 +34,11 @@ def main():
         Scenario(methodology=methodology, cycle=cycle, repeat=2),
         ucap_farads=SIZES_F,
     )
-    batch = run_batch(
-        grid, workers=workers, cache=ResultCache()
-    ).raise_on_failure()
+    batch = run_batch(grid, workers=workers).raise_on_failure()
 
     print(
         f"Sizing study: {methodology} on {cycle} x2 "
-        f"({len(grid)} cells, {workers or 1} worker(s), "
-        f"{batch.cache_hits} cached, {batch.wall_s:.1f} s)"
+        f"({len(grid)} cells, {workers or 1} worker(s), {batch.wall_s:.1f} s)"
     )
     print(
         f"{'size [F]':>9} {'cost [$]':>9} {'Qloss [%]':>10} {'avg P [kW]':>11} "

@@ -70,10 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--cache-dir",
         default=".repro_cache",
-        help="result-cache directory (default: .repro_cache)",
+        help=(
+            "experiment-store directory, the format `repro serve "
+            "--store-dir` reads (default: .repro_cache)"
+        ),
     )
     batch.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
+        "--no-cache", action="store_true", help="disable the experiment store"
     )
     batch.add_argument(
         "--timeout",
@@ -415,18 +418,19 @@ def _grid_from_args(args) -> tuple:
 def cmd_batch(args, out) -> int:
     import json
 
-    from repro.sim.batch import ResultCache, run_batch, scenario_grid
+    from repro.sim.batch import run_batch, scenario_grid
+    from repro.store import ExperimentStore
 
     base, axes = _grid_from_args(args)
     if args.seeds:
         axes["perturb_seed"] = list(range(args.seeds))
     scenarios = scenario_grid(base, **axes)
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    store = None if args.no_cache else ExperimentStore(args.cache_dir)
     result = run_batch(
         scenarios,
         workers=args.workers,
-        cache=cache,
+        store=store,
         timeout_s=args.timeout,
         execution=args.engine_backend,
     )

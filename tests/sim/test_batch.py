@@ -8,12 +8,12 @@ import pytest
 from repro.sim.batch import (
     BatchCell,
     CellPayload,
-    ResultCache,
     run_batch,
     scenario_fingerprint,
     scenario_grid,
 )
 from repro.sim.scenario import Scenario
+from repro.store import ExperimentStore
 
 #: A small grid of fast (baseline-only) scenarios on the shortest cycle.
 GRID = scenario_grid(
@@ -82,7 +82,7 @@ class TestSerialRun:
 
     def test_progress_callback(self):
         seen = []
-        run_batch(GRID[:2], on_cell=seen.append)
+        run_batch(GRID[:2], on_cell_done=seen.append)
         assert [c.index for c in seen] == [0, 1]
         assert all(isinstance(c, BatchCell) for c in seen)
 
@@ -120,50 +120,11 @@ class TestParallelRun:
 
 
 class TestCache:
-    def test_second_run_hits(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = run_batch(GRID, cache=cache)
-        assert first.cache_hits == 0 and first.cache_misses == len(GRID)
-        second = run_batch(GRID, cache=cache)
-        assert second.cache_hits == len(GRID) and second.cache_misses == 0
-        assert all(c.cached for c in second.cells)
-        assert [c.metrics for c in second.cells] == [c.metrics for c in first.cells]
-
-    def test_parameter_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
-        varied = [dataclasses.replace(GRID[0], initial_temp_k=305.0)]
-        rerun = run_batch(varied, cache=cache)
-        assert rerun.cache_hits == 0 and rerun.cache_misses == 1
-
-    def test_cache_dir_shorthand(self, tmp_path):
-        d = tmp_path / "store"
-        run_batch(GRID[:1], cache_dir=d)
-        assert list(d.glob("*.pkl"))
-        hit = run_batch(GRID[:1], cache_dir=d)
-        assert hit.cache_hits == 1
-
-    def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        bad = [dataclasses.replace(GRID[0], cycle="no-such-cycle")]
-        run_batch(bad, cache=cache)
-        rerun = run_batch(bad, cache=cache)
-        assert rerun.cache_hits == 0
-        assert not rerun.ok
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
-        for f in tmp_path.glob("*.pkl"):
-            f.write_bytes(b"not a pickle")
-        rerun = run_batch(GRID[:1], cache=cache)
-        assert rerun.ok and rerun.cache_hits == 0
-
     def test_payload_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        batch = run_batch(GRID[:1], cache=cache)
+        store = ExperimentStore(tmp_path)
+        batch = run_batch(GRID[:1], store=store)
         key = scenario_fingerprint(GRID[0])
-        payload = cache.get(key)
+        payload = store.get(key)
         assert isinstance(payload, CellPayload)
         assert payload.metrics == batch.cells[0].metrics
         assert pickle.loads(pickle.dumps(payload)) == payload
@@ -264,17 +225,6 @@ class TestSolverStatsPlumbing:
         assert row["solver_last_cost"] is None
         # strict consumers reject NaN tokens; the payload must survive
         json.dumps(result.bench_payload(), allow_nan=False)
-
-    def test_pre_schema_2_stats_default_to_scalar_backend(self):
-        """Old cache pickles predate SolverStats.backend."""
-        from repro.core.mpc import SolverStats
-        from repro.sim.batch import BatchResult
-
-        stats = SolverStats(solves=1, total_iterations=3, last_cost=1.0)
-        object.__delattr__(stats, "backend")
-        cell = BatchCell(index=0, scenario=GRID[0], solver=stats)
-        row = BatchResult(cells=(cell,), wall_s=0.0, workers=0).rows()[0]
-        assert row["solver_backend"] == "scalar"
 
 
 class TestLockstepRouting:
@@ -460,20 +410,6 @@ class TestMPCLockstepRouting:
             if c.scenario.methodology == "otem"
         )
 
-    def test_old_solver_pickles_default_to_zero_wins(self):
-        """Pre-schema-4 SolverStats lack the wins_* fields."""
-        from repro.core.mpc import SolverStats
-        from repro.sim.batch import BatchResult
-
-        stats = SolverStats(solves=2, total_iterations=5, last_cost=1.0)
-        for field in ("wins_warm", "wins_neutral", "wins_full_cool"):
-            object.__delattr__(stats, field)
-        cell = BatchCell(index=0, scenario=GRID[0], solver=stats)
-        row = BatchResult(cells=(cell,), wall_s=0.0, workers=0).rows()[0]
-        assert row["solver_wins_warm"] == 0
-        assert row["solver_wins_neutral"] == 0
-        assert row["solver_wins_full_cool"] == 0
-
 
 class TestEngineBackendCache:
     """CACHE_SCHEMA 3: the engine backend is part of the cache key."""
@@ -488,41 +424,9 @@ class TestEngineBackendCache:
             s, engine_backend="scalar"
         )
 
-    def test_backend_switch_never_serves_stale_rows(self, tmp_path):
-        """Same grid, different engine: a cache hit across backends would
-        silently blur which engine produced a number."""
-        cache = ResultCache(tmp_path)
-        first = run_batch(GRID, cache=cache)  # auto: all lockstep
-        assert first.cache_misses == len(GRID)
-        rerun = run_batch(GRID, cache=cache)
-        assert rerun.cache_hits == len(GRID)
-        assert all(c.engine_backend == "lockstep" for c in rerun.cells)
-        forced = run_batch(GRID, cache=cache, execution="scalar")
-        assert forced.cache_hits == 0 and forced.cache_misses == len(GRID)
-        assert all(c.engine_backend == "scalar" for c in forced.cells)
-
-    def test_schema_bump_invalidates_old_entries(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache)
-        monkeypatch.setattr("repro.sim.batch.CACHE_SCHEMA", 2)
-        stale = run_batch(GRID[:1], cache=cache)
-        assert stale.cache_hits == 0 and stale.cache_misses == 1
-
     def test_rows_carry_engine_backend(self):
         rows = run_batch(GRID).rows()
         assert [r["engine_backend"] for r in rows] == ["lockstep"] * 4
-
-    def test_pre_schema_3_payloads_default_to_scalar(self, tmp_path):
-        """Old cache pickles predate CellPayload.engine_backend."""
-        cache = ResultCache(tmp_path)
-        run_batch(GRID[:1], cache=cache, execution="scalar")
-        key = scenario_fingerprint(GRID[0])
-        payload = cache.get(key)
-        object.__delattr__(payload, "engine_backend")
-        cache.put(key, payload)
-        served = run_batch(GRID[:1], cache=cache, execution="scalar")
-        assert served.cache_hits == 1
-        assert served.cells[0].engine_backend == "scalar"
 
     def test_lockstep_cells_share_group_wall_time(self):
         batch = run_batch(GRID[:2])  # one lockstep group of two
@@ -564,16 +468,6 @@ class TestProgressCallback:
         batch = run_batch(GRID, workers=2, execution="scalar", on_cell_done=seen.append)
         assert batch.ok
         assert sorted(c.index for c in seen) == [0, 1, 2, 3]
-
-    def test_on_cell_is_an_alias(self):
-        via_alias, via_canonical = [], []
-        run_batch(GRID[:2], on_cell=via_alias.append)
-        run_batch(GRID[:2], on_cell_done=via_canonical.append)
-        assert [c.index for c in via_alias] == [c.index for c in via_canonical]
-
-    def test_alias_and_canonical_together_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_batch(GRID[:1], on_cell=print, on_cell_done=print)
 
     def test_failed_cells_still_reported(self):
         bad = dataclasses.replace(GRID[0], cycle="no-such-cycle")
@@ -624,9 +518,3 @@ class TestCancellation:
         skipped = [c for c in batch.cells if not c.ok]
         assert len(skipped) == 2
         assert all("cancelled" in c.error for c in skipped)
-
-    def test_cancelled_cells_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_batch(GRID, cache=cache, execution="scalar", cancel=lambda: True)
-        rerun = run_batch(GRID, cache=cache, execution="scalar")
-        assert rerun.cache_hits == 0 and rerun.ok

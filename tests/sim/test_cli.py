@@ -113,6 +113,15 @@ class TestBatch:
         assert "2 cache hit(s)" in text
         assert "cached" in text
 
+    def test_batch_cache_dir_is_an_experiment_store(self, tmp_path):
+        from repro.store import ExperimentStore
+        from repro.store.experiment import INDEX_DB
+
+        code, _ = run_cli(self._argv(tmp_path))
+        assert code == 0
+        assert (tmp_path / "cache" / INDEX_DB).exists()
+        assert len(ExperimentStore(tmp_path / "cache")) == 2
+
     def test_batch_failure_sets_exit_code(self, tmp_path):
         code, text = run_cli(
             ["batch", "-m", "parallel", "-c", "no-such-cycle", "--no-cache"]
